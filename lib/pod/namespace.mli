@@ -8,14 +8,41 @@
 
 module Addr = Zapc_simnet.Addr
 
-type t = {
-  vpid_to_rpid : (int, int) Hashtbl.t;
-  rpid_to_vpid : (int, int) Hashtbl.t;
-  mutable next_vpid : int;
-  mutable vip_to_rip : (Addr.ip * Addr.ip) list;
-}
+(** {1 The vip directory}
 
-val create : unit -> t
+    One per cluster: the live (vip, rip) binding of every pod instance and
+    the latest gratuitous-ARP rebind of every vip, stamped by one clock.
+    Namespaces consult it at lookup time instead of being rewritten, so a
+    rebind costs O(1) however many namespaces know the vip, and a restored
+    pod's map shares the live list instead of copying it. *)
+
+type directory
+type binding
+(** A live pod instance's entry in the directory. *)
+
+val directory : unit -> directory
+
+val enter : directory -> pod_id:int -> vip:Addr.ip -> rip:Addr.ip -> binding
+(** A pod instance came up at [rip]; it supersedes any earlier live
+    instance of [pod_id] (a pod lives on one node at a time). *)
+
+val leave : directory -> binding -> unit
+(** The instance is gone; a no-op if a newer instance superseded it. *)
+
+val rebind_vip : directory -> vip:Addr.ip -> rip:Addr.ip -> unit
+(** Gratuitous-ARP-style update: from now on every namespace whose map,
+    installed before this call, has an entry for [vip] resolves it to
+    [rip].  Namespaces without the entry are untouched, and a map
+    installed later shadows the rebind. *)
+
+(** {1 Namespaces} *)
+
+type t
+
+val create : directory -> t
+val directory_of : t -> directory
+val next_vpid : t -> int
+val set_next_vpid : t -> int -> unit
 
 (** {1 PIDs} *)
 
@@ -32,11 +59,10 @@ val vpids : t -> int list
 
 (** {1 Network addresses} *)
 
-val set_vip_map : t -> (Addr.ip * Addr.ip) list -> unit
-
-val rebind_vip : t -> vip:Addr.ip -> rip:Addr.ip -> unit
-(** Gratuitous-ARP-style update: repoint an existing [vip] entry at a new
-    real address.  Namespaces without the entry are left untouched. *)
+val set_vip_map : ?live:bool -> t -> (Addr.ip * Addr.ip) list -> unit
+(** Install the vip -> rip map; lookups take the first entry in list
+    order.  With [~live:true] the directory's live bindings, as they stand
+    now, follow the map (they are shared, not copied). *)
 
 val rip_of_vip : t -> Addr.ip -> Addr.ip
 (** Unknown addresses pass through unchanged (out-of-cluster traffic is out

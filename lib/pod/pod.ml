@@ -22,6 +22,7 @@ type t = {
   mutable rip : Addr.ip;  (* the real address on the current node *)
   mutable kernel : Kernel.t;
   ns : Namespace.t;
+  entry : Namespace.binding;  (* this instance's live binding in the vip directory *)
   mutable time_bias : Simtime.t;  (* added to reported clocks after restart *)
   mutable virtualize_time : bool;
   mutable frozen : bool;
@@ -137,9 +138,10 @@ let adopt_with_vpid pod (proc : Proc.t) ~vpid =
   proc.pod <- Some pod.pod_id;
   proc.filter <- Some (filter_of pod)
 
-let create ~pod_id ~name ~vip ~rip kernel =
+let create ~dir ~pod_id ~name ~vip ~rip kernel =
   let pod =
-    { pod_id; name; vip; rip; kernel; ns = Namespace.create (); time_bias = Simtime.zero;
+    { pod_id; name; vip; rip; kernel; ns = Namespace.create dir;
+      entry = Namespace.enter dir ~pod_id ~vip ~rip; time_bias = Simtime.zero;
       virtualize_time = true; frozen = false }
   in
   Namespace.set_vip_map pod.ns [ (vip, rip) ];
@@ -148,27 +150,22 @@ let create ~pod_id ~name ~vip ~rip kernel =
   pod
 
 (* Install the application-wide virtual->real address map (the Manager
-   distributes this; it is rewritten on migration). Always contains our own
-   entry. *)
-let set_vip_map pod map =
+   distributes this).  Always contains our own entry: with [~live:true] the
+   directory's live bindings follow the map, and they include this pod. *)
+let set_vip_map ?(live = false) pod map =
   let map =
-    if List.mem_assoc pod.vip map then map else (pod.vip, pod.rip) :: map
+    if live || List.mem_assoc pod.vip map then map else (pod.vip, pod.rip) :: map
   in
-  Namespace.set_vip_map pod.ns map
+  Namespace.set_vip_map ~live pod.ns map
 
-(* The current (vip, rip) binding of every live pod.  The restore path
-   extends its partial map with this so a restored pod can still reach
-   application pods outside the restored set. *)
-let current_vip_map () =
-  Hashtbl.fold (fun _ (p : t) acc -> (p.vip, p.rip) :: acc) registry []
-
-(* Gratuitous ARP: a pod re-acquired its virtual address at a new real
-   address (restart on another node, live migration).  Every live pod that
-   knows the vip — including ones outside the restored application, e.g. a
-   client population talking to a restored server — repoints its namespace
-   entry, exactly like hosts updating their ARP caches. *)
-let rebind_vip ~vip ~rip =
-  Hashtbl.iter (fun _ (p : t) -> Namespace.rebind_vip p.ns ~vip ~rip) registry
+(* Gratuitous ARP: the pod re-acquired its virtual address at a new real
+   address (restart on another node, live migration).  Every namespace of
+   the cluster that knows the vip — including ones outside the restored
+   application, e.g. a client population talking to a restored server —
+   resolves it to the new address from now on, exactly like hosts updating
+   their ARP caches.  One directory entry, however many pods know it. *)
+let rebind_vip pod =
+  Namespace.rebind_vip (Namespace.directory_of pod.ns) ~vip:pod.vip ~rip:pod.rip
 
 let spawn pod ~program ~args =
   let proc = Kernel.create_proc pod.kernel (Zapc_simos.Program.spawn program args) in
@@ -225,6 +222,7 @@ let resume pod =
 let destroy pod =
   List.iter (fun (_, p) -> Kernel.signal_proc pod.kernel p Signal.Sigkill) (members pod);
   Zapc_simnet.Netstack.remove_ip (Kernel.netstack pod.kernel) pod.rip;
+  Namespace.leave (Namespace.directory_of pod.ns) pod.entry;
   (match Hashtbl.find_opt registry pod.pod_id with
    | Some live when live == pod -> Hashtbl.remove registry pod.pod_id
    | Some _ | None -> ())

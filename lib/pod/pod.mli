@@ -9,8 +9,8 @@
 
     The virtual address ([vip]) never changes; the real address ([rip]) is
     re-allocated on whatever node currently hosts the pod, and the namespace
-    map (installed by the Agent, rewritten on migration) translates between
-    them in both directions. *)
+    map (installed by the Agent, with rebinds published through the
+    cluster's vip directory) translates between them in both directions. *)
 
 module Simtime = Zapc_sim.Simtime
 module Addr = Zapc_simnet.Addr
@@ -24,31 +24,34 @@ type t = {
   mutable rip : Addr.ip;  (** the real address on the current node *)
   mutable kernel : Kernel.t;
   ns : Namespace.t;
+  entry : Namespace.binding;  (** this instance's live binding in the vip directory *)
   mutable time_bias : Simtime.t;  (** added to reported clocks after restart *)
   mutable virtualize_time : bool;
   mutable frozen : bool;
 }
 
-val create : pod_id:int -> name:string -> vip:Addr.ip -> rip:Addr.ip -> Kernel.t -> t
-(** Create an empty pod: attaches [rip] to the node's network stack and
-    registers the pod in the global live-pod registry. *)
+val create :
+  dir:Namespace.directory -> pod_id:int -> name:string -> vip:Addr.ip -> rip:Addr.ip ->
+  Kernel.t -> t
+(** Create an empty pod: attaches [rip] to the node's network stack,
+    enters the binding in the cluster's vip directory [dir] and registers
+    the pod in the global live-pod registry. *)
 
 val find : int -> t option
 (** Look up a live pod by id (a pod lives on exactly one node at a time). *)
 
-val set_vip_map : t -> (Addr.ip * Addr.ip) list -> unit
+val set_vip_map : ?live:bool -> t -> (Addr.ip * Addr.ip) list -> unit
 (** Install the application-wide virtual->real address map; the pod's own
-    entry is always included. *)
+    entry is always included.  [~live:true] appends the directory's live
+    bindings (see {!Namespace.set_vip_map}): a restored pod's map covers
+    only the restored set, and this lets it reach the rest of the
+    application. *)
 
-val current_vip_map : unit -> (Addr.ip * Addr.ip) list
-(** The (vip, rip) binding of every live pod, for extending a restored
-    pod's partial map with the rest of the world. *)
-
-val rebind_vip : vip:Addr.ip -> rip:Addr.ip -> unit
-(** Gratuitous ARP: repoint [vip] at [rip] in the namespace of every live
-    pod that has an entry for it.  Called when a restored or migrated pod
-    re-acquires its virtual address at a new real address, so pods outside
-    the restored set (e.g. clients of a restored server) keep resolving. *)
+val rebind_vip : t -> unit
+(** Gratuitous ARP: announce the pod's vip at its current rip.  Every
+    namespace of the cluster whose map has an entry for the vip resolves
+    it to the new rip from now on, so pods outside the restored set (e.g.
+    clients of a restored server) keep resolving.  O(1). *)
 
 val adopt : t -> Proc.t -> unit
 (** Bring a process into the pod: assign the next vpid, install the
@@ -77,8 +80,8 @@ val suspend : t -> unit
 val resume : t -> unit
 
 val destroy : t -> unit
-(** Kill members, release the real address, drop from the registry (after
-    migration, or on abort). *)
+(** Kill members, release the real address, drop from the registry and the
+    directory's live list (after migration, or on abort). *)
 
 val apply_time_bias : t -> saved_clock:Simtime.t -> current_clock:Simtime.t -> unit
 (** Time virtualization (paper section 5): bias reported clocks by

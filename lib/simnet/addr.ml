@@ -5,13 +5,18 @@ type t = { ip : ip; port : int }
 
 let v ip port = { ip; port }
 let any = 0
-let make_ip a b c d = (a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d
+let octet_ok o = o >= 0 && o <= 255
+
+let make_ip a b c d =
+  if not (octet_ok a && octet_ok b && octet_ok c && octet_ok d) then
+    invalid_arg (Printf.sprintf "Addr.make_ip: octet out of range in %d.%d.%d.%d" a b c d);
+  (a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d
 
 let ip_of_string s =
   match String.split_on_char '.' s with
   | [ a; b; c; d ] ->
     (try make_ip (int_of_string a) (int_of_string b) (int_of_string c) (int_of_string d)
-     with Failure _ -> invalid_arg ("Addr.ip_of_string: " ^ s))
+     with Failure _ | Invalid_argument _ -> invalid_arg ("Addr.ip_of_string: " ^ s))
   | _ -> invalid_arg ("Addr.ip_of_string: " ^ s)
 
 let ip_to_string ip =

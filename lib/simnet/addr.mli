@@ -16,6 +16,9 @@ val ip_of_string : string -> ip
 
 val ip_to_string : ip -> string
 val make_ip : int -> int -> int -> int -> ip
+(** [make_ip a b c d] is [a.b.c.d].
+    @raise Invalid_argument if an octet is outside 0-255. *)
+
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val equal_ip : ip -> ip -> bool

@@ -14,6 +14,7 @@ type t =
   | EISCONN
   | ECONNREFUSED
   | ECONNRESET
+  | ECONNABORTED
   | EADDRINUSE
   | EADDRNOTAVAIL
   | ETIMEDOUT

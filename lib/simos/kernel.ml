@@ -448,10 +448,13 @@ and exec k (p : Proc.t) (sc : Syscall.t) :
         if not (Socket.is_listening s) then err Errno.EINVAL
         else
           match Netstack.accept_take s with
-          | Some child ->
+          | Some { Socket.remote = None; _ } ->
+            (* a queued child without a peer: the connection is gone *)
+            err Errno.ECONNABORTED
+          | Some ({ Socket.remote = Some peer; _ } as child) ->
             let cfd = Fdtable.add p.fds (Fdtable.Fsock child) in
             ref_socket k child;
-            ok (Syscall.Raccept (cfd, Option.get child.remote))
+            ok (Syscall.Raccept (cfd, peer))
           | None ->
             if Socket.nonblocking s then err Errno.EAGAIN
             else block (fun waiter -> Socket.wait_readable s waiter))

@@ -380,7 +380,7 @@ let errno_of_value v =
   let s = Value.to_str v in
   let all =
     [ Errno.EAGAIN; EINTR; EBADF; EINVAL; ENOENT; ESRCH; ECHILD; ENOMEM; EPIPE; ENOTCONN;
-      EISCONN; ECONNREFUSED; ECONNRESET; EADDRINUSE; EADDRNOTAVAIL; ETIMEDOUT;
+      EISCONN; ECONNREFUSED; ECONNRESET; ECONNABORTED; EADDRINUSE; EADDRNOTAVAIL; ETIMEDOUT;
       ENETUNREACH; EMSGSIZE; ENOTSOCK; EOPNOTSUPP ]
   in
   match List.find_opt (fun e -> String.equal (Errno.to_string e) s) all with

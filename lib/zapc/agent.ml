@@ -120,6 +120,7 @@ type t = {
   engine : Engine.t;
   params : Params.t;
   storage : Storage.t;
+  vipdir : Namespace.directory;  (* the cluster's vip directory *)
   mutable chan : Protocol.channel option;
   pods : (int, Pod.t) Hashtbl.t;
   streamed : (int, Image.t) Hashtbl.t;  (* images received by direct migration *)
@@ -138,7 +139,7 @@ type t = {
   mutable peer_agents : (int -> t option);  (* resolve agents for streaming *)
 }
 
-let create ?metrics ~node ~params ~storage ~fabric kernel =
+let create ?metrics ~node ~params ~storage ~vipdir ~fabric kernel =
   let metrics =
     match metrics with Some m -> m | None -> Metrics.create ()
   in
@@ -149,6 +150,7 @@ let create ?metrics ~node ~params ~storage ~fabric kernel =
     engine = Kernel.engine kernel;
     params;
     storage;
+    vipdir;
     chan = None;
     pods = Hashtbl.create 4;
     streamed = Hashtbl.create 4;
@@ -931,12 +933,13 @@ and start_restart ?ctx t ~pod_id ~name ~vip ~rip ~uri ~entries ~vip_map ~extra_a
         "pod_create";
       after t t.params.pod_create_cost (fun () ->
           (* step 1: create a new (empty) pod *)
-          let pod = Pod.create ~pod_id ~name ~vip ~rip t.kernel in
+          let pod = Pod.create ~dir:t.vipdir ~pod_id ~name ~vip ~rip t.kernel in
           pod.virtualize_time <- t.params.virtualize_time;
           (* [vip_map] covers only the restored set; saved connections may
-             also reference application pods outside it, so extend with the
-             rest of the world (first match wins, new bindings shadow) *)
-          Pod.set_vip_map pod (vip_map @ Pod.current_vip_map ());
+             also reference application pods outside it, so the directory's
+             live bindings follow it (first match wins, new bindings
+             shadow) *)
+          Pod.set_vip_map ~live:true pod vip_map;
           register_pod t pod;
           let op =
             {
@@ -1158,6 +1161,9 @@ and restore_network_state t op =
     match Hashtbl.find_opt my_entries ref_ with Some e -> e.Meta.acked | None -> 0
   in
   let bytes = ref 0 in
+  (* sock refs whose connection state was restored: the only ones that may
+     go back on a listener's accept queue *)
+  let with_state = Hashtbl.create (List.length op.ro_entries) in
   (* established connections *)
   List.iter
     (fun (e : Meta.restart_entry) ->
@@ -1165,6 +1171,7 @@ and restore_network_state t op =
         match Hashtbl.find_opt op.ro_sockets e.ri_sock_ref with
         | None -> ()
         | Some s ->
+          Hashtbl.replace with_state e.ri_sock_ref ();
           let im = op.ro_sock_imgs.(e.ri_sock_ref) in
           let send_data =
             if op.ro_skip_sendq then ""
@@ -1259,17 +1266,19 @@ and restore_network_state t op =
         end
       | `Conn _ | `Listener _ -> ())
     op.ro_sock_imgs;
-  (* re-insert never-accepted connections into their listener's queue *)
+  (* re-insert never-accepted connections into their listener's queue; an
+     orphan (its peer is gone) has no connection to hand out and stays
+     off the queue *)
   Array.iteri
     (fun i (im : Sock_state.image) ->
       match im.queued_on with
-      | Some li ->
+      | Some li when Hashtbl.mem with_state i ->
         (match (Hashtbl.find_opt op.ro_sockets i, Hashtbl.find_opt op.ro_sockets li) with
          | Some child, Some listener ->
            Queue.add child listener.accept_q;
            Socket.wake_readers listener
          | _ -> ())
-      | None -> ())
+      | Some _ | None -> ())
     op.ro_sock_imgs;
   let cost =
     jittered t
@@ -1331,10 +1340,11 @@ and restore_standalone t op =
   after t cost (fun () ->
       if not op.ro_aborted then begin
         Pod.resume pod;
-        (* gratuitous ARP: the vip now lives at this pod's new rip — update
-           every live namespace so pods outside the restored set (clients!)
-           can reach it with NEW connections, not just recovered ones *)
-        Pod.rebind_vip ~vip:pod.vip ~rip:pod.rip;
+        (* gratuitous ARP: the vip now lives at this pod's new rip — every
+           namespace that knows it, including pods outside the restored set
+           (clients!), reaches it with NEW connections, not just recovered
+           ones *)
+        Pod.rebind_vip pod;
         Metrics.incr t.metrics "net.vip_rebound";
         span_end t ~pod:pod.pod_id "standalone_restore";
         span_end t ~pod:pod.pod_id "pod_restart";

@@ -22,9 +22,11 @@ type t
 
 val create :
   ?metrics:Zapc_obs.Metrics.t ->
-  node:int -> params:Params.t -> storage:Storage.t -> fabric:Fabric.t -> Kernel.t -> t
+  node:int -> params:Params.t -> storage:Storage.t -> vipdir:Zapc_pod.Namespace.directory ->
+  fabric:Fabric.t -> Kernel.t -> t
 (** [metrics] receives the [agent.*] counters (abort outcomes); a private
-    registry is created when omitted. *)
+    registry is created when omitted.  Restored pods join [vipdir], the
+    cluster's vip directory. *)
 
 val attach_channel : t -> Protocol.channel -> unit
 (** Wire the Manager connection; a broken channel aborts every in-flight

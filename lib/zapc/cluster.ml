@@ -30,6 +30,7 @@ type t = {
   nodes : node array;
   manager : Manager.t;
   metrics : Metrics.t;
+  vipdir : Zapc_pod.Namespace.directory;  (* vip bindings and rebinds of this cluster's pods *)
   mutable next_pod_id : int;
   mutable next_vip_seq : int;
   mutable trace : Trace.t option;  (* the cluster-wide recorder, once enabled *)
@@ -127,6 +128,24 @@ let reform_tree t =
     if alive <> t.tree_sig then form_tree t
   end
 
+(* Node [i]'s host address: 192.168.1.(i+1) for the first 255 nodes, then
+   onwards through the following /24s. *)
+let host_ip i =
+  let n = i + 1 in
+  Addr.make_ip 192 168 (1 + (n / 256)) (n mod 256)
+
+(* Real addresses of node [c] come from 172.(16 + c/256).(c mod 256).0/24,
+   from .11 up to .255. *)
+let max_rips_per_node = 245
+
+let alloc_rip_on n =
+  if n.n_rip_seq >= max_rips_per_node then
+    failwith
+      (Printf.sprintf "Cluster.alloc_rip: node %d has used all %d real addresses" n.n_idx
+         max_rips_per_node);
+  n.n_rip_seq <- n.n_rip_seq + 1;
+  Addr.make_ip 172 (16 + (n.n_idx / 256)) (n.n_idx mod 256) (10 + n.n_rip_seq)
+
 let make ?(seed = 42) ?(cpus = 1) ~params ~node_count () =
   let engine = Engine.create ~seed () in
   (* one registry shared by every layer of this cluster; always on *)
@@ -139,6 +158,7 @@ let make ?(seed = 42) ?(cpus = 1) ~params ~node_count () =
       ~compress:params.Params.compress ~buddy_bps:params.Params.buddy_bps
       ~nodes:node_count engine
   in
+  let vipdir = Zapc_pod.Namespace.directory () in
   (* one SAN-backed file system mounted by every node *)
   let shared_fs = Zapc_simos.Simfs.create () in
   let nodes =
@@ -147,21 +167,19 @@ let make ?(seed = 42) ?(cpus = 1) ~params ~node_count () =
           Kernel.create ~config:params.Params.kconfig ~cpus
             ~hostname:(Printf.sprintf "node%d" i) ~node_id:i fabric
         in
-        let host_ip = Addr.make_ip 192 168 1 (i + 1) in
+        let host_ip = host_ip i in
         Netstack.add_ip (Kernel.netstack kernel) host_ip;
         Kernel.set_fs kernel shared_fs;
-        let agent = Agent.create ~metrics ~node:i ~params ~storage ~fabric kernel in
+        let agent = Agent.create ~metrics ~node:i ~params ~storage ~vipdir ~fabric kernel in
         { n_idx = i; n_kernel = kernel; n_agent = agent; n_host_ip = host_ip;
           n_rip_seq = 0; n_alive = true })
   in
-  let alloc_rip node_idx =
-    let n = nodes.(node_idx) in
-    n.n_rip_seq <- n.n_rip_seq + 1;
-    Addr.make_ip 172 16 n.n_idx (10 + n.n_rip_seq)
+  let manager =
+    Manager.create ~metrics ~engine ~params ~storage
+      ~alloc_rip:(fun i -> alloc_rip_on nodes.(i)) ()
   in
-  let manager = Manager.create ~metrics ~engine ~params ~storage ~alloc_rip () in
   let t =
-    { engine; fabric; storage; params; nodes; manager; metrics;
+    { engine; fabric; storage; params; nodes; manager; metrics; vipdir;
       next_pod_id = 1; next_vip_seq = 0; trace = None; flight = None;
       relays = []; tree_sig = [] }
   in
@@ -221,10 +239,7 @@ let alloc_vip t =
   t.next_vip_seq <- t.next_vip_seq + 1;
   Addr.make_ip 10 77 (t.next_vip_seq / 250) (1 + (t.next_vip_seq mod 250))
 
-let alloc_rip t node_idx =
-  let n = t.nodes.(node_idx) in
-  n.n_rip_seq <- n.n_rip_seq + 1;
-  Addr.make_ip 172 16 n.n_idx (10 + n.n_rip_seq)
+let alloc_rip t node_idx = alloc_rip_on t.nodes.(node_idx)
 
 (* Create an (empty) pod on a node and register it with the node's Agent and
    with the Manager's pod-info cache. *)
@@ -234,7 +249,7 @@ let create_pod t ~node_idx ~name =
   let vip = alloc_vip t in
   let rip = alloc_rip t node_idx in
   let n = t.nodes.(node_idx) in
-  let pod = Pod.create ~pod_id ~name ~vip ~rip n.n_kernel in
+  let pod = Pod.create ~dir:t.vipdir ~pod_id ~name ~vip ~rip n.n_kernel in
   pod.Pod.virtualize_time <- t.params.virtualize_time;
   Agent.register_pod n.n_agent pod;
   Manager.remember_pod t.manager ~pod_id ~name ~vip

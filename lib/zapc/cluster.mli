@@ -65,7 +65,9 @@ val alloc_vip : t -> Addr.ip
 (** Fresh virtual address (10.77.0.0/16 pool, disjoint from real subnets). *)
 
 val alloc_rip : t -> int -> Addr.ip
-(** Fresh real address on the given node (172.16.<node>.0/24). *)
+(** Fresh real address on node [c], from 172.(16 + c/256).(c mod 256).0/24.
+    @raise Failure once the node has handed out all 245 addresses of its
+    /24. *)
 
 val create_pod : t -> node_idx:int -> name:string -> Pod.t
 (** Create an empty pod on a node, registered with its Agent and the

@@ -68,7 +68,9 @@ let establish ?(port = 7100) env =
   let server = Option.get (Netstack.accept_take listener) in
   (listener, client, server)
 
-let plain_ns = Namespace.create ()
+(* standalone pods and namespaces share one vip directory, as a cluster's do *)
+let vipdir = Namespace.directory ()
+let plain_ns = Namespace.create vipdir
 
 let recv_str s =
   match s.Socket.dispatch.d_recvmsg s Socket.plain_recv (1 lsl 20) with
@@ -344,7 +346,7 @@ let test_pod_checkpoint_image () =
   let fabric = Fabric.create engine in
   let k = Kernel.create ~node_id:0 fabric in
   let pod =
-    Pod.create ~pod_id:77 ~name:"imgtest" ~vip:(Addr.make_ip 10 1 0 9)
+    Pod.create ~dir:vipdir ~pod_id:77 ~name:"imgtest" ~vip:(Addr.make_ip 10 1 0 9)
       ~rip:(Addr.make_ip 172 16 0 9) k
   in
   let p = Pod.spawn pod ~program:"ckpttest.memhog" ~args:Value.Unit in
@@ -362,7 +364,7 @@ let test_pod_checkpoint_image () =
   (* restore into a fresh pod on a different kernel *)
   let k2 = Kernel.create ~node_id:1 fabric in
   let pod2 =
-    Pod.create ~pod_id:78 ~name:"imgtest" ~vip:(Addr.make_ip 10 1 0 9)
+    Pod.create ~dir:vipdir ~pod_id:78 ~name:"imgtest" ~vip:(Addr.make_ip 10 1 0 9)
       ~rip:(Addr.make_ip 172 16 1 9) k2
   in
   let procs = Pod_ckpt.restore_processes pod2 v ~socket_of_ref:(fun _ -> None) in
@@ -387,7 +389,7 @@ let test_block_deadline_relative () =
   let fabric = Fabric.create engine in
   let k = Kernel.create ~node_id:0 fabric in
   let pod =
-    Pod.create ~pod_id:79 ~name:"sleepy" ~vip:(Addr.make_ip 10 1 0 8)
+    Pod.create ~dir:vipdir ~pod_id:79 ~name:"sleepy" ~vip:(Addr.make_ip 10 1 0 8)
       ~rip:(Addr.make_ip 172 16 0 8) k
   in
   let _p = Pod.spawn pod ~program:"ckpttest.memhog" ~args:Value.Unit in
@@ -413,7 +415,7 @@ let test_zombie_survives_restart () =
   let fabric = Fabric.create engine in
   let k = Kernel.create ~node_id:0 fabric in
   let pod =
-    Pod.create ~pod_id:81 ~name:"zpod" ~vip:(Addr.make_ip 10 1 0 11)
+    Pod.create ~dir:vipdir ~pod_id:81 ~name:"zpod" ~vip:(Addr.make_ip 10 1 0 11)
       ~rip:(Addr.make_ip 172 16 0 11) k
   in
   let _sleeper = Pod.spawn pod ~program:"ckpttest.memhog" ~args:Value.Unit in
@@ -428,7 +430,7 @@ let test_zombie_survives_restart () =
   let v = Image.to_pod_image (Image.of_pod_image res.Pod_ckpt.image) in
   let k2 = Kernel.create ~node_id:1 fabric in
   let pod2 =
-    Pod.create ~pod_id:82 ~name:"zpod" ~vip:(Addr.make_ip 10 1 0 11)
+    Pod.create ~dir:vipdir ~pod_id:82 ~name:"zpod" ~vip:(Addr.make_ip 10 1 0 11)
       ~rip:(Addr.make_ip 172 16 1 11) k2
   in
   let procs = Pod_ckpt.restore_processes pod2 v ~socket_of_ref:(fun _ -> None) in
@@ -464,7 +466,7 @@ let test_restored_pipe_ids_unique () =
   let fabric = Fabric.create engine in
   let k = Kernel.create ~node_id:0 fabric in
   let mk kernel id name sub =
-    Pod.create ~pod_id:id ~name ~vip:(Addr.make_ip 10 1 0 sub)
+    Pod.create ~dir:vipdir ~pod_id:id ~name ~vip:(Addr.make_ip 10 1 0 sub)
       ~rip:(Addr.make_ip 172 16 sub id) kernel
   in
   let pa = mk k 83 "pipeA" 0 and pb = mk k 84 "pipeB" 0 in
@@ -517,7 +519,7 @@ let delta_env () =
   let fabric = Fabric.create engine in
   let k = Kernel.create ~node_id:0 fabric in
   let pod =
-    Pod.create ~pod_id:85 ~name:"deltapod" ~vip:(Addr.make_ip 10 1 0 14)
+    Pod.create ~dir:vipdir ~pod_id:85 ~name:"deltapod" ~vip:(Addr.make_ip 10 1 0 14)
       ~rip:(Addr.make_ip 172 16 0 14) k
   in
   ignore (Pod.spawn pod ~program:"ckpttest.memhog" ~args:Value.Unit);
@@ -646,7 +648,7 @@ let precopy_env () =
   let fabric = Fabric.create engine in
   let k = Kernel.create ~node_id:0 fabric in
   let pod =
-    Pod.create ~pod_id:!mig_pod_seq ~name:"migpod" ~vip:(Addr.make_ip 10 1 0 21)
+    Pod.create ~dir:vipdir ~pod_id:!mig_pod_seq ~name:"migpod" ~vip:(Addr.make_ip 10 1 0 21)
       ~rip:(Addr.make_ip 172 16 0 21) k
   in
   ignore (Pod.spawn pod ~program:"ckpttest.memhog" ~args:Value.Unit);
@@ -760,7 +762,7 @@ let delta_env_m ?backend ?compress ?replicas ?nodes () =
   let fabric = Fabric.create engine in
   let k = Kernel.create ~node_id:0 fabric in
   let pod =
-    Pod.create ~pod_id:85 ~name:"deltapod" ~vip:(Addr.make_ip 10 1 0 14)
+    Pod.create ~dir:vipdir ~pod_id:85 ~name:"deltapod" ~vip:(Addr.make_ip 10 1 0 14)
       ~rip:(Addr.make_ip 172 16 0 14) k
   in
   ignore (Pod.spawn pod ~program:"ckpttest.memhog" ~args:Value.Unit);

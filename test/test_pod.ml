@@ -22,7 +22,13 @@ let tint = Alcotest.int
 
 let logged : string list ref = ref []
 
-type env = { engine : Engine.t; fabric : Fabric.t; k0 : Kernel.t; k1 : Kernel.t }
+type env = {
+  engine : Engine.t;
+  fabric : Fabric.t;
+  k0 : Kernel.t;
+  k1 : Kernel.t;
+  vipdir : Namespace.directory;
+}
 
 let next_pod_id = ref 1000
 
@@ -35,11 +41,11 @@ let make_env () =
   log k0;
   log k1;
   logged := [];
-  { engine; fabric; k0; k1 }
+  { engine; fabric; k0; k1; vipdir = Namespace.directory () }
 
 let fresh_pod env ?(kernel = env.k0) ~vip_last ~rip_last () =
   incr next_pod_id;
-  Pod.create ~pod_id:!next_pod_id
+  Pod.create ~dir:env.vipdir ~pod_id:!next_pod_id
     ~name:(Printf.sprintf "pod%d" !next_pod_id)
     ~vip:(Addr.make_ip 10 1 0 vip_last)
     ~rip:(Addr.make_ip 172 16 0 rip_last)
@@ -214,7 +220,7 @@ let register_programs () =
 (* --- namespace unit tests --- *)
 
 let test_namespace_pids () =
-  let ns = Namespace.create () in
+  let ns = Namespace.create (Namespace.directory ()) in
   let v1 = Namespace.fresh_vpid ns 501 in
   let v2 = Namespace.fresh_vpid ns 502 in
   check tint "first vpid" 1 v1;
@@ -229,7 +235,7 @@ let test_namespace_pids () =
   check tbool "next_vpid advanced past bound" true (v3 > 7)
 
 let test_namespace_addrs () =
-  let ns = Namespace.create () in
+  let ns = Namespace.create (Namespace.directory ()) in
   let vip = Addr.make_ip 10 1 0 1 and rip = Addr.make_ip 172 16 0 5 in
   Namespace.set_vip_map ns [ (vip, rip) ];
   check tbool "out" true
@@ -242,6 +248,105 @@ let test_namespace_addrs () =
   let other = Addr.make_ip 8 8 8 8 in
   check tbool "unknown unchanged" true
     (Addr.equal_ip (Namespace.translate_addr_out ns { Addr.ip = other; port = 1 }).Addr.ip other)
+
+(* --- the vip directory against the per-namespace assoc lists it replaced ---
+
+   The reference keeps a full vip -> rip list in every namespace and
+   rewrites every list that knows a vip on each rebind.  Its live list is a
+   copy of the current bindings, newest instance first, taken at install. *)
+
+module Ref_ns = struct
+  type t = { mutable map : (Addr.ip * Addr.ip) list }
+
+  let rebind t ~vip ~rip =
+    if List.exists (fun (v, _) -> Addr.equal_ip v vip) t.map then
+      t.map <- List.map (fun (v, r) -> if Addr.equal_ip v vip then (v, rip) else (v, r)) t.map
+
+  let rip_of_vip t vip = match List.assoc_opt vip t.map with Some r -> r | None -> vip
+
+  let vip_of_rip t rip =
+    match List.find_opt (fun (_, r) -> Addr.equal_ip r rip) t.map with
+    | Some (v, _) -> v
+    | None -> rip
+end
+
+type dir_op =
+  | Set of int * (int * int) list * bool  (* namespace, (vip, rip) list, with live list *)
+  | Rebind of int * int  (* vip, rip *)
+  | Enter of int * int  (* pod (its vip is the pod number), rip *)
+  | Leave of int
+  | Rip_of_vip of int * int  (* namespace, vip *)
+  | Vip_of_rip of int * int  (* namespace, rip *)
+
+let show_dir_op = function
+  | Set (n, m, live) ->
+    Printf.sprintf "set ns%d [%s]%s" n
+      (String.concat "; " (List.map (fun (v, r) -> Printf.sprintf "%d->%d" v r) m))
+      (if live then " +live" else "")
+  | Rebind (v, r) -> Printf.sprintf "rebind %d->%d" v r
+  | Enter (p, r) -> Printf.sprintf "enter pod%d at %d" p r
+  | Leave p -> Printf.sprintf "leave pod%d" p
+  | Rip_of_vip (n, v) -> Printf.sprintf "rip_of_vip ns%d %d" n v
+  | Vip_of_rip (n, r) -> Printf.sprintf "vip_of_rip ns%d %d" n r
+
+(* small address pools, so maps repeat vips (as restored maps do) and
+   lookups hit; vips are 10.77.0.v, rips 172.16.0.r *)
+let n_ns = 4
+let vip_ip v = Addr.make_ip 10 77 0 v
+let rip_ip r = Addr.make_ip 172 16 0 r
+
+let dir_op_gen =
+  let open QCheck.Gen in
+  let vip = int_range 1 6 and rip = int_range 1 8 and ns = int_range 0 (n_ns - 1) in
+  frequency
+    [ (3, map3 (fun n m live -> Set (n, m, live)) ns (list_size (int_range 0 6) (pair vip rip)) bool);
+      (3, map2 (fun v r -> Rebind (v, r)) vip rip);
+      (2, map2 (fun p r -> Enter (p, r)) vip rip);
+      (1, map (fun p -> Leave p) vip);
+      (4, map2 (fun n v -> Rip_of_vip (n, v)) ns (int_range 1 7));
+      (4, map2 (fun n r -> Vip_of_rip (n, r)) ns (int_range 1 9)) ]
+
+let prop_directory_matches_assoc_lists ops =
+  let dir = Namespace.directory () in
+  let nss = Array.init n_ns (fun _ -> Namespace.create dir) in
+  let refs = Array.init n_ns (fun _ -> { Ref_ns.map = [] }) in
+  (* pod -> (binding, its (vip, rip)), newest first *)
+  let live = ref [] in
+  let ips = List.map (fun (v, r) -> (vip_ip v, rip_ip r)) in
+  List.for_all
+    (function
+      | Set (n, m, with_live) ->
+        Namespace.set_vip_map ~live:with_live nss.(n) (ips m);
+        refs.(n).Ref_ns.map <-
+          (ips m @ if with_live then List.map (fun (_, (_, vr)) -> vr) !live else []);
+        true
+      | Rebind (v, r) ->
+        Namespace.rebind_vip dir ~vip:(vip_ip v) ~rip:(rip_ip r);
+        Array.iter (fun rf -> Ref_ns.rebind rf ~vip:(vip_ip v) ~rip:(rip_ip r)) refs;
+        true
+      | Enter (p, r) ->
+        let b = Namespace.enter dir ~pod_id:p ~vip:(vip_ip p) ~rip:(rip_ip r) in
+        live := (p, (b, (vip_ip p, rip_ip r))) :: List.remove_assoc p !live;
+        true
+      | Leave p ->
+        (match List.assoc_opt p !live with
+         | Some (b, _) ->
+           Namespace.leave dir b;
+           live := List.remove_assoc p !live
+         | None -> ());
+        true
+      | Rip_of_vip (n, v) ->
+        Addr.equal_ip (Namespace.rip_of_vip nss.(n) (vip_ip v)) (Ref_ns.rip_of_vip refs.(n) (vip_ip v))
+      | Vip_of_rip (n, r) ->
+        Addr.equal_ip (Namespace.vip_of_rip nss.(n) (rip_ip r)) (Ref_ns.vip_of_rip refs.(n) (rip_ip r)))
+    ops
+
+let qcheck_directory_model =
+  QCheck.Test.make ~name:"vip directory answers like per-namespace assoc lists" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "\n" (List.map show_dir_op ops))
+       QCheck.Gen.(list_size (int_range 1 120) dir_op_gen))
+    prop_directory_matches_assoc_lists
 
 (* --- pod behaviour --- *)
 
@@ -405,7 +510,8 @@ let () =
   Alcotest.run "pod"
     [ ( "namespace",
         [ Alcotest.test_case "pids" `Quick test_namespace_pids;
-          Alcotest.test_case "addresses" `Quick test_namespace_addrs ] );
+          Alcotest.test_case "addresses" `Quick test_namespace_addrs;
+          QCheck_alcotest.to_alcotest qcheck_directory_model ] );
       ( "virtualization",
         [ Alcotest.test_case "getpid" `Quick test_getpid_virtualized;
           Alcotest.test_case "kill by vpid" `Quick test_kill_by_vpid;

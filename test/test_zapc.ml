@@ -14,6 +14,7 @@ module Proc = Zapc_simos.Proc
 module Program = Zapc_simos.Program
 module Syscall = Zapc_simos.Syscall
 module Pod = Zapc_pod.Pod
+module Namespace = Zapc_pod.Namespace
 module Cluster = Zapc.Cluster
 module Manager = Zapc.Manager
 module Protocol = Zapc.Protocol
@@ -538,7 +539,84 @@ module Dirtyhog = struct
       next = Value.to_int (Value.field "next" v) }
 end
 
+(* Allocate a page, then sleep for good: a resident that costs nothing. *)
+module Idler = struct
+  type state = bool
+
+  let name = "test.idler"
+  let start _ = false
+
+  let step booted (_ : Syscall.outcome) =
+    if booted then (true, Program.Sys (Syscall.Nanosleep (Simtime.sec 50.0)))
+    else (true, Program.Sys (Syscall.Mem_alloc ("idle", 4096)))
+
+  let to_value b = Value.Bool b
+  let of_value = Value.to_bool
+end
+
+(* Listens, then sleeps 50 ms before accepting, so connections wait in
+   the accept queue; logs every accept outcome. *)
+module Lazy_server = struct
+  type state = { port : int; mutable ph : int; mutable lfd : int }
+
+  let name = "test.lazy_server"
+  let start args = { port = Value.to_int args; ph = 0; lfd = -1 }
+
+  let step s (outcome : Syscall.outcome) =
+    let go ph sc =
+      s.ph <- ph;
+      (s, Program.Sys sc)
+    in
+    match (s.ph, outcome) with
+    | 0, _ -> go 1 (Syscall.Sock_create Socket.Stream)
+    | 1, Syscall.Ret (Syscall.Rint fd) ->
+      s.lfd <- fd;
+      go 2 (Syscall.Bind (fd, { Addr.ip = Addr.any; port = s.port }))
+    | 2, _ -> go 3 (Syscall.Listen (s.lfd, 8))
+    | 3, _ -> go 4 (Syscall.Nanosleep (Simtime.ms 50))
+    | 4, _ -> go 5 (Syscall.Accept s.lfd)
+    | 5, Syscall.Ret (Syscall.Raccept _) -> go 4 (Syscall.Log "accepted")
+    | 5, Syscall.Err e -> go 4 (Syscall.Log ("accept: " ^ Zapc_simnet.Errno.to_string e))
+    | _, _ -> (s, Program.Exit 1)
+
+  let to_value s = Value.List [ Value.Int s.port; Value.Int s.ph; Value.Int s.lfd ]
+
+  let of_value = function
+    | Value.List [ Value.Int port; Value.Int ph; Value.Int lfd ] -> { port; ph; lfd }
+    | _ -> Value.decode_error "lazy_server"
+end
+
+(* Connects, sends a greeting, then idles. *)
+module Lazy_client = struct
+  type state = { dst : Addr.t; mutable ph : int; mutable fd : int }
+
+  let name = "test.lazy_client"
+  let start args = { dst = Addr.of_value args; ph = 0; fd = -1 }
+
+  let step s (outcome : Syscall.outcome) =
+    let go ph sc =
+      s.ph <- ph;
+      (s, Program.Sys sc)
+    in
+    match (s.ph, outcome) with
+    | 0, _ -> go 1 (Syscall.Sock_create Socket.Stream)
+    | 1, Syscall.Ret (Syscall.Rint fd) ->
+      s.fd <- fd;
+      go 2 (Syscall.Connect (fd, s.dst))
+    | 2, Syscall.Ret _ -> go 3 (Syscall.Send (s.fd, "hello"))
+    | _, _ -> go 3 (Syscall.Nanosleep (Simtime.sec 10.0))
+
+  let to_value s = Value.List [ Addr.to_value s.dst; Value.Int s.ph; Value.Int s.fd ]
+
+  let of_value = function
+    | Value.List [ dst; Value.Int ph; Value.Int fd ] -> { dst = Addr.of_value dst; ph; fd }
+    | _ -> Value.decode_error "lazy_client"
+end
+
 let () =
+  Program.register_if_absent (module Idler : Program.S);
+  Program.register_if_absent (module Lazy_server : Program.S);
+  Program.register_if_absent (module Lazy_client : Program.S);
   Program.register_if_absent (module Ring : Program.S);
   Program.register_if_absent (module Udp_chat : Program.S);
   Program.register_if_absent (module Alarm_prog : Program.S);
@@ -1682,6 +1760,183 @@ let test_tree_subtree_break_aborts () =
   ignore (Launch.wait_done cluster app);
   check tbool "app completed after subtree abort" true (has_log "bt_nas: checksum")
 
+(* --- restart bookkeeping --- *)
+
+(* [n] idle pods, one per node, linked as one application *)
+let idle_fleet cluster ~name n =
+  let pods =
+    List.init n (fun i ->
+        Cluster.create_pod cluster ~node_idx:i ~name:(Printf.sprintf "%s%d" name i))
+  in
+  Cluster.link_pods pods;
+  List.iter (fun pod -> ignore (Pod.spawn pod ~program:Idler.name ~args:Value.Unit)) pods;
+  pods
+
+let destroy_live pod_ids = List.iter (fun id -> Option.iter Pod.destroy (Pod.find id)) pod_ids
+
+(* Words allocated by one restart of an idle [n]-node fleet (fanout-4
+   tree), each pod moved one node on. *)
+let idle_restart_words n =
+  let cluster = make_cluster ~params:{ Params.default with tree_fanout = 4 } ~nodes:n () in
+  let pods = idle_fleet cluster ~name:"idle" n in
+  Cluster.run cluster ~until:(Simtime.ms 5) ();
+  let r = Cluster.snapshot cluster ~pods ~key_prefix:"grow" in
+  check tbool "snapshot ok" true r.Manager.r_ok;
+  List.iter Pod.destroy pods;
+  let ids = List.map (fun (p : Pod.t) -> p.Pod.pod_id) pods in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
+  let r =
+    Cluster.restart_app cluster ~pod_ids:ids
+      ~target_nodes:(List.init n (fun i -> (i + 1) mod n)) ~key_prefix:"grow"
+  in
+  let allocated = words () -. before in
+  check tbool "restart ok" true r.Manager.r_ok;
+  destroy_live ids;
+  allocated
+
+(* Restart work must grow with the pods restored: doubling the fleet may
+   not much more than double the allocation.  A per-pod pass over every
+   namespace or over the whole live-pod set makes the ratio ~4 or more. *)
+let test_restart_allocation_linear () =
+  let small = idle_restart_words 64 and large = idle_restart_words 128 in
+  let ratio = large /. small in
+  if ratio > 3.0 then
+    Alcotest.failf "restart allocation grew %.2fx from 64 to 128 nodes (%.0f -> %.0f words)"
+      ratio small large
+
+(* Each cluster owns its vip directory: a restore in one never repoints
+   the namespaces of another, even where the two reuse the same vips. *)
+let test_vip_directories_per_cluster () =
+  let a = make_cluster ~nodes:2 () in
+  let b = make_cluster ~nodes:3 () in
+  let pa = idle_fleet a ~name:"a" 2 in
+  let pb = idle_fleet b ~name:"b" 3 in
+  check tbool "the clusters share vips" true
+    (List.for_all2 (fun (x : Pod.t) (y : Pod.t) -> Addr.equal_ip x.vip y.vip) pa
+       (List.filteri (fun i _ -> i < 2) pb));
+  Cluster.run a ~until:(Simtime.ms 5) ();
+  Cluster.run b ~until:(Simtime.ms 5) ();
+  let lookups pods =
+    List.concat_map
+      (fun (p : Pod.t) ->
+        List.concat_map
+          (fun (q : Pod.t) ->
+            [ Namespace.rip_of_vip p.ns q.vip; Namespace.vip_of_rip p.ns q.rip ])
+          pods)
+      pods
+  in
+  let before = lookups pb in
+  let r = Cluster.snapshot a ~pods:pa ~key_prefix:"iso" in
+  check tbool "snapshot ok" true r.Manager.r_ok;
+  List.iter Pod.destroy pa;
+  let ids = List.map (fun (p : Pod.t) -> p.Pod.pod_id) pa in
+  let r = Cluster.restart_app a ~pod_ids:ids ~target_nodes:[ 1; 0 ] ~key_prefix:"iso" in
+  check tbool "restart ok" true r.Manager.r_ok;
+  (* the restored pods resolve each other at their new addresses... *)
+  (match List.map Pod.find ids with
+   | [ Some p1; Some p2 ] ->
+     check tbool "restored map follows the restore" true
+       (Addr.equal_ip (Namespace.rip_of_vip p1.Pod.ns p2.Pod.vip) p2.Pod.rip
+        && Addr.equal_ip (Namespace.vip_of_rip p2.Pod.ns p1.Pod.rip) p1.Pod.vip)
+   | _ -> Alcotest.fail "restored pods missing");
+  (* ...and the other cluster's pods answer exactly as before *)
+  check (Alcotest.list tint) "other cluster unchanged" before (lookups pb);
+  destroy_live ids;
+  List.iter Pod.destroy pb
+
+(* A connection still waiting in a listener's accept queue whose peer is
+   not restarted comes back as an orphan.  It must not go back on the
+   queue: there is no peer for accept to return. *)
+let test_orphan_not_requeued () =
+  let cluster = make_cluster () in
+  let server = Cluster.create_pod cluster ~node_idx:0 ~name:"lazy-server" in
+  let client = Cluster.create_pod cluster ~node_idx:1 ~name:"lazy-client" in
+  Cluster.link_pods [ server; client ];
+  ignore (Pod.spawn server ~program:Lazy_server.name ~args:(Value.Int 7100));
+  ignore
+    (Pod.spawn client ~program:Lazy_client.name
+       ~args:(Addr.to_value { Addr.ip = server.Pod.vip; port = 7100 }));
+  Cluster.run cluster ~until:(Simtime.ms 5) ();
+  let items =
+    List.map
+      (fun ((p : Pod.t), node) ->
+        { Manager.ci_node = node; ci_pod = p.pod_id;
+          ci_dest = Protocol.U_storage (Printf.sprintf "orph.pod%d" p.pod_id) })
+      [ (server, 0); (client, 1) ]
+  in
+  let r = Cluster.checkpoint_sync cluster ~items ~resume:false in
+  check tbool "freeze ok" true r.Manager.r_ok;
+  Pod.destroy server;
+  Pod.destroy client;
+  let rr =
+    Cluster.restart_app cluster ~pod_ids:[ server.Pod.pod_id ] ~target_nodes:[ 2 ]
+      ~key_prefix:"orph"
+  in
+  check tbool "restart ok" true rr.Manager.r_ok;
+  (* past the server's 50 ms sleep: it is blocked in accept *)
+  Cluster.run cluster ~until:(Simtime.add (Cluster.now cluster) (Simtime.ms 200)) ();
+  check tbool "server still running" true
+    (match Pod.find server.Pod.pod_id with
+     | Some p -> Pod.member_count p = 1
+     | None -> false);
+  check tbool "nothing accepted" false (has_log "accept");
+  destroy_live [ server.Pod.pod_id ]
+
+(* A queued child without a peer fails the accept with ECONNABORTED; the
+   kernel does not crash and the listener stays usable. *)
+let test_accept_peerless_child () =
+  let cluster = make_cluster () in
+  let pod = Cluster.create_pod cluster ~node_idx:0 ~name:"lazy-server" in
+  let proc = Pod.spawn pod ~program:Lazy_server.name ~args:(Value.Int 7200) in
+  Cluster.run cluster ~until:(Simtime.ms 5) ();
+  let listener =
+    List.find_map
+      (fun fd ->
+        match Zapc_simos.Fdtable.socket proc.Proc.fds fd with
+        | Some s when Socket.is_listening s -> Some s
+        | Some _ | None -> None)
+      (List.init 16 Fun.id)
+  in
+  let net = Kernel.netstack (Cluster.node cluster 0).Cluster.n_kernel in
+  (match listener with
+   | Some l -> Queue.add (Zapc_simnet.Netstack.new_socket net Socket.Stream) l.Socket.accept_q
+   | None -> Alcotest.fail "no listener");
+  Cluster.run cluster ~until:(Simtime.ms 100) ();
+  check tbool "accept reports the lost peer" true (has_log "accept: ECONNABORTED");
+  check tbool "server still running" true (proc.Proc.exit_code = None);
+  Pod.destroy pod
+
+(* Host and real addresses stay distinct at 1000 nodes; the addresses of
+   smaller clusters are unchanged. *)
+let test_addresses_distinct_at_1000_nodes () =
+  let n = 1000 in
+  let cluster = Cluster.make ~params:Params.default ~node_count:n () in
+  let hosts = List.init n (fun i -> (Cluster.node cluster i).Cluster.n_host_ip) in
+  let rips = List.init n (fun i -> Cluster.alloc_rip cluster i) in
+  check tint "all distinct" (2 * n) (List.length (List.sort_uniq Int.compare (hosts @ rips)));
+  let ip = Addr.ip_to_string in
+  check Alcotest.string "node 0 host" "192.168.1.1" (ip (List.nth hosts 0));
+  check Alcotest.string "node 254 host" "192.168.1.255" (ip (List.nth hosts 254));
+  check Alcotest.string "node 255 host" "192.168.2.0" (ip (List.nth hosts 255));
+  check Alcotest.string "node 3 rip" "172.16.3.11" (ip (List.nth rips 3));
+  check Alcotest.string "node 300 rip" "172.17.44.11" (ip (List.nth rips 300));
+  (* a node's /24 holds 245 real addresses, then allocation fails *)
+  for _ = 2 to 245 do
+    ignore (Cluster.alloc_rip cluster 0)
+  done;
+  check tbool "exhausted node fails" true
+    (match Cluster.alloc_rip cluster 0 with _ -> false | exception Failure _ -> true);
+  check tbool "octet range checked" true
+    (match Addr.make_ip 10 0 0 256 with _ -> false | exception Invalid_argument _ -> true);
+  check tbool "dotted quad range checked" true
+    (match Addr.ip_of_string "10.0.0.300" with
+     | _ -> false
+     | exception Invalid_argument _ -> true)
+
 let () =
   Alcotest.run "zapc"
     [ ( "coordinated",
@@ -1743,4 +1998,14 @@ let () =
           Alcotest.test_case "checkpoint + restart through the tree" `Quick
             test_tree_checkpoint_restart;
           Alcotest.test_case "mid-tree break aborts the subtree" `Quick
-            test_tree_subtree_break_aborts ] ) ]
+            test_tree_subtree_break_aborts ] );
+      ( "restart",
+        [ Alcotest.test_case "allocation linear in the fleet" `Quick
+            test_restart_allocation_linear;
+          Alcotest.test_case "vip directories per cluster" `Quick
+            test_vip_directories_per_cluster;
+          Alcotest.test_case "orphan not requeued on its listener" `Quick
+            test_orphan_not_requeued;
+          Alcotest.test_case "accept of a peerless child" `Quick test_accept_peerless_child;
+          Alcotest.test_case "addresses distinct at 1000 nodes" `Quick
+            test_addresses_distinct_at_1000_nodes ] ) ]
