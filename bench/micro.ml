@@ -25,6 +25,58 @@ let t_encode =
 let t_decode =
   Test.make ~name:"wire.decode" (Staged.stage (fun () -> ignore (Wire.decode encoded_sample)))
 
+(* A pod image shaped like a kv shard's at 1000 connections: per-socket
+   state with queued data, the matching meta-data table and a process
+   section.  A restart reads [name], [vip] and [meta] of such an image
+   before the first command leaves; a checkpoint sizes the whole of it. *)
+module Addr = Zapc_simnet.Addr
+module Meta = Zapc_netckpt.Meta
+module Sock_state = Zapc_netckpt.Sock_state
+
+let pod_sockets = 1000
+
+let make_pod_image () =
+  let vip = Addr.make_ip 10 1 0 1 in
+  let local = { Addr.ip = vip; port = 7000 } in
+  let peer i = { Addr.ip = Addr.make_ip 10 2 (i / 250) (i mod 250); port = 40000 + i } in
+  let sock i =
+    { Sock_state.kind = Zapc_simnet.Socket.Stream; local = Some local;
+      remote = Some (peer i);
+      hl = `Conn Meta.Full; opts = Value.assoc [ ("nodelay", Value.bool true) ];
+      recv_data = String.make 48 'r'; oob = None; send_data = String.make 96 's';
+      dgrams = []; queued_on = None; syn_child_of = None; nonblock_pending = false }
+  in
+  let entry i =
+    { Meta.local; remote = peer i; state = Meta.Full; role = Meta.Accept;
+      sent = 1000 * i; recv = 900 * i; acked = 990 * i; sock_ref = i }
+  in
+  let meta = { Meta.pm_pod = 1; pm_vip = vip; pm_entries = List.init pod_sockets entry } in
+  let proc i =
+    Value.assoc [ ("vpid", Value.int i); ("state", Value.f64s (Array.make 256 0.5)) ]
+  in
+  Value.assoc
+    [ ("pod_id", Value.int 1); ("name", Value.str "kv-shard-0"); ("vip", Value.int vip);
+      ("memory_bytes", Value.int (64 lsl 20));
+      ("sockets", Zapc_netckpt.Net_ckpt.images_to_value (Array.init pod_sockets sock));
+      ("meta", Meta.to_value meta); ("procs", Value.list proc (List.init 8 Fun.id)) ]
+
+let pod_image = lazy (make_pod_image ())
+
+let pod_encoded = lazy (Wire.encode (Lazy.force pod_image))
+
+let t_pod_decode =
+  Test.make ~name:"pod1000.decode"
+    (Staged.stage (fun () -> ignore (Wire.decode (Lazy.force pod_encoded))))
+
+let t_pod_fields =
+  Test.make ~name:"pod1000.decode_fields"
+    (Staged.stage (fun () ->
+         ignore (Wire.decode_fields (Lazy.force pod_encoded) [ "name"; "vip"; "meta" ])))
+
+let t_pod_size =
+  Test.make ~name:"pod1000.encoded_size"
+    (Staged.stage (fun () -> ignore (Wire.encoded_size (Lazy.force pod_image))))
+
 let t_sockbuf =
   Test.make ~name:"sockbuf.push/pop-1KB"
     (Staged.stage (fun () ->
@@ -107,7 +159,9 @@ let t_span_named =
          done;
          assert (Span.open_count r = 0)))
 
-let tests = [ t_encode; t_decode; t_sockbuf; t_heap; t_engine; t_tcp; t_span; t_span_named ]
+let tests =
+  [ t_encode; t_decode; t_pod_decode; t_pod_fields; t_pod_size; t_sockbuf; t_heap;
+    t_engine; t_tcp; t_span; t_span_named ]
 
 (* --- engine hot-path throughput (events/s), heap vs calendar ----------
 

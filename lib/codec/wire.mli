@@ -10,9 +10,20 @@ val format_version : int
 val encode : Value.t -> string
 (** Serialize with magic + version header. *)
 
+val header_size : int
+(** Bytes of magic and version in front of every {!encode}d stream. *)
+
 val decode : string -> Value.t
 (** @raise Value.Decode_error on corrupt input, bad magic, or version
     mismatch. *)
+
+val decode_fields : string -> string list -> Value.t
+(** [decode_fields s keys] is [decode s] restricted to the top-level record
+    fields named in [keys], in record order; a stream whose top level is not
+    a record yields [Assoc []].  The other fields are checked but not built,
+    so reading a few small fields of a large image costs a walk of its bytes
+    and no allocation for the rest.  Raises exactly when {!decode} does.
+    @raise Value.Decode_error on any input {!decode} rejects. *)
 
 val encode_raw : Buffer.t -> Value.t -> unit
 (** Headerless encode, appended to [buf] (used for nested streams). *)
@@ -22,4 +33,5 @@ val decode_raw : string -> int -> Value.t * int
     value and the offset just past it. *)
 
 val encoded_size : Value.t -> int
-(** Exact encoded size in bytes (without header). *)
+(** Exact encoded size in bytes (without header), computed without
+    encoding. *)

@@ -131,6 +131,58 @@ let restart_entry_of_value v =
     ri_orphan = Value.to_bool (Value.field "orphan" v);
   }
 
+(* The merged tables, indexed once so that pairing an entry with its peer
+   is a table lookup instead of a scan over every entry of every pod. *)
+module Ends = Hashtbl.Make (struct
+  type t = Addr.t * Addr.t
+
+  let equal (l1, r1) (l2, r2) = Addr.equal l1 l2 && Addr.equal r1 r2
+
+  let hash ((l : Addr.t), (r : Addr.t)) =
+    Hashtbl.hash ((((l.ip lsl 16) lor l.port) * 65599) + ((r.ip lsl 16) lor r.port))
+end)
+
+type index = {
+  ix_pods : pod_meta list;
+  ix_ends : (pod_meta * entry) Ends.t;
+      (* (local, remote) -> its first entry, in pod order then entry order *)
+  ix_vips : (Addr.ip, pod_meta) Hashtbl.t;  (* first pod per vip *)
+  ix_socks : (int * int, entry) Hashtbl.t;  (* (pod, sock_ref) -> first entry *)
+}
+
+let index pms =
+  let n = List.fold_left (fun acc pm -> acc + List.length pm.pm_entries) 0 pms in
+  let ix =
+    { ix_pods = pms; ix_ends = Ends.create (max 16 n); ix_vips = Hashtbl.create 16;
+      ix_socks = Hashtbl.create (max 16 n) }
+  in
+  List.iter
+    (fun pm ->
+      if not (Hashtbl.mem ix.ix_vips pm.pm_vip) then Hashtbl.add ix.ix_vips pm.pm_vip pm;
+      List.iter
+        (fun e ->
+          let ends = (e.local, e.remote) in
+          if not (Ends.mem ix.ix_ends ends) then Ends.add ix.ix_ends ends (pm, e);
+          let sock = (pm.pm_pod, e.sock_ref) in
+          if not (Hashtbl.mem ix.ix_socks sock) then Hashtbl.add ix.ix_socks sock e)
+        pm.pm_entries)
+    pms;
+  ix
+
+(* The endpoint a connection pairs with: the first entry whose
+   (local, remote) is this one's (remote, local). *)
+let find_peer ix ~local ~remote = Ends.find_opt ix.ix_ends (remote, local)
+
+let paired_peer ix (e : restart_entry) =
+  match
+    ( Hashtbl.find_opt ix.ix_vips e.ri_remote.ip,
+      find_peer ix ~local:e.ri_local ~remote:e.ri_remote )
+  with
+  | Some owner, Some (pm, peer) when pm == owner -> Some (owner.pm_pod, peer)
+  | _ -> None
+
+let entry_of_sock ix ~pod ~sock_ref = Hashtbl.find_opt ix.ix_socks (pod, sock_ref)
+
 (* Merge the per-pod tables and derive the restart schedule.
 
    Pairing: entries match when (local, remote) of one equals (remote, local)
@@ -140,13 +192,7 @@ let restart_entry_of_value v =
    the accepting side, the constraint of section 4.  Unpaired endpoints are
    restored detached (orphans); Connecting endpoints are skipped entirely
    (the blocked connect call re-executes after restart). *)
-let build_schedule (pms : pod_meta list) : (int * restart_entry list) list =
-  let all = List.concat_map (fun pm -> List.map (fun e -> (pm, e)) pm.pm_entries) pms in
-  let find_peer (e : entry) =
-    List.find_opt
-      (fun (_, e') -> Addr.equal e'.local e.remote && Addr.equal e'.remote e.local)
-      all
-  in
+let schedule ix : (int * restart_entry list) list =
   let for_pod pm =
     let entries =
       List.filter_map
@@ -154,7 +200,7 @@ let build_schedule (pms : pod_meta list) : (int * restart_entry list) list =
           match e.state with
           | Connecting -> None
           | Full | Half_out | Half_in | Closed_data ->
-            (match find_peer e with
+            (match find_peer ix ~local:e.local ~remote:e.remote with
              | Some (_, peer) when peer.state <> Connecting ->
                let role =
                  match (e.role, peer.role) with
@@ -177,4 +223,6 @@ let build_schedule (pms : pod_meta list) : (int * restart_entry list) list =
     in
     (pm.pm_pod, entries)
   in
-  List.map for_pod pms
+  List.map for_pod ix.ix_pods
+
+let build_schedule pms = schedule (index pms)

@@ -61,6 +61,24 @@ type restart_entry = {
 val restart_entry_to_value : restart_entry -> Value.t
 val restart_entry_of_value : Value.t -> restart_entry
 
+type index
+(** The merged per-pod tables, indexed by connection ends, by vip and by
+    socket reference.  Building it is linear in the number of entries;
+    every lookup below is a table lookup.  Where keys repeat, the first
+    occurrence in pod order then entry order wins. *)
+
+val index : pod_meta list -> index
+
+val schedule : index -> (int * restart_entry list) list
+(** {!build_schedule} over an already-built index. *)
+
+val paired_peer : index -> restart_entry -> (int * entry) option
+(** The peer endpoint the schedule paired a restart entry with, and its
+    pod, provided that pod is the one owning the entry's remote vip. *)
+
+val entry_of_sock : index -> pod:int -> sock_ref:int -> entry option
+(** A pod's entry for one of its sockets. *)
+
 val build_schedule : pod_meta list -> (int * restart_entry list) list
 (** Merge the per-pod tables and derive the restart schedule, keyed by pod.
 

@@ -96,6 +96,7 @@ type restore_op = {
   ro_pod : Pod.t;
   ro_mig : mig_stage option;  (* live migration: staged rounds to activate *)
   ro_image : Value.t;
+  ro_image_bytes : int;  (* encoded size of [ro_image], header excluded *)
   ro_entries : Meta.restart_entry list;
   ro_extra_altq : (int * string) list;
   ro_skip_sendq : bool;
@@ -829,18 +830,26 @@ and receive_mig_announce t ~pod_id =
 and receive_mig_round t ~pod_id ~round (image : Image.t) =
   let dead = match t.chan with Some ch -> Control.is_broken ch | None -> true in
   if dead then ()  (* a crashed destination never sees the stream *)
-  else begin
-    let v = Image.to_pod_image image in
-    if round = 0 then begin
-      let stage = { sg_image = v; sg_residue = 0; sg_suspend_at = Simtime.zero } in
-      Hashtbl.replace t.stages pod_id stage;
-      trace t ~pod:pod_id "mig_stage0"
-    end
-    else
-      match Hashtbl.find_opt t.stages pod_id with
-      | None -> ()  (* stage dropped by an abort; ignore the stray round *)
-      | Some sg -> sg.sg_image <- Delta.apply ~base:sg.sg_image v
-  end
+  else
+    try
+      let v = Image.to_pod_image image in
+      if round = 0 then begin
+        let stage = { sg_image = v; sg_residue = 0; sg_suspend_at = Simtime.zero } in
+        Hashtbl.replace t.stages pod_id stage;
+        trace t ~pod:pod_id "mig_stage0"
+      end
+      else begin
+        match Hashtbl.find_opt t.stages pod_id with
+        | None -> ()  (* stage dropped by an abort; ignore the stray round *)
+        | Some sg -> sg.sg_image <- Delta.apply ~base:sg.sg_image v
+      end
+    with Value.Decode_error msg -> reject_mig_image t pod_id msg
+
+(* A streamed round that does not decode fails the migration: drop what
+   was staged and report, so the Manager aborts the source's copy loop. *)
+and reject_mig_image t pod_id msg =
+  abort_migrate t pod_id;
+  report_failure t pod_id ("bad image: " ^ msg)
 
 (* Destination: the final stop-and-copy landed.  Materialize the full
    image, make it restartable (the streamed table), and COMMIT by telling
@@ -851,17 +860,20 @@ and receive_mig_final t ~pod_id ~(image : Image.t) ~rounds ~precopy_bytes ~force
   let dead = match t.chan with Some ch -> Control.is_broken ch | None -> true in
   if dead then ()
   else begin
-    let v = Image.to_pod_image image in
     let full_opt =
-      if Delta.is_delta v then
-        match Hashtbl.find_opt t.stages pod_id with
-        | Some sg -> Some (Delta.apply ~base:sg.sg_image v)
-        | None -> None  (* stage dropped by an abort racing the residue *)
-      else Some v
+      try
+        let v = Image.to_pod_image image in
+        if Delta.is_delta v then
+          match Hashtbl.find_opt t.stages pod_id with
+          | Some sg -> Ok (Some (Delta.apply ~base:sg.sg_image v))
+          | None -> Ok None  (* stage dropped by an abort racing the residue *)
+        else Ok (Some v)
+      with Value.Decode_error msg -> Error msg
     in
     match full_opt with
-    | None -> trace t ~pod:pod_id "mig_residue_dropped"
-    | Some full ->
+    | Error msg -> reject_mig_image t pod_id msg
+    | Ok None -> trace t ~pod:pod_id "mig_residue_dropped"
+    | Ok (Some full) ->
       let stage =
         match Hashtbl.find_opt t.stages pod_id with
         | Some sg -> sg
@@ -909,24 +921,33 @@ and try_start_parked_restart t pod_id =
 
 and start_restart ?ctx t ~pod_id ~name ~vip ~rip ~uri ~entries ~vip_map ~extra_altq
     ~skip_sendq =
+  (* the whole image is decoded before anything is built, so an image that
+     does not decode fails the restart with no pod registered *)
   let with_image fn =
+    let start image =
+      match
+        let v = Image.to_pod_image image in
+        (v, Pod_ckpt.sockets_of_image v, Pod_ckpt.meta_of_image v)
+      with
+      | exception Value.Decode_error msg -> report_failure t pod_id ("bad image: " ^ msg)
+      | decoded -> fn image decoded
+    in
     match uri with
     | Protocol.U_storage key ->
       (match Storage.get t.storage key with
-       | Some image -> fn image
+       | Some image -> start image
        | None -> report_failure t pod_id ("no image at " ^ key))
     | Protocol.U_node _ ->
       (match Hashtbl.find_opt t.streamed pod_id with
-       | Some image -> fn image
+       | Some image -> start image
        | None ->
          (* image still in flight: park the restart until it lands *)
          Hashtbl.replace parked (t.node, pod_id) (fun () ->
              match Hashtbl.find_opt t.streamed pod_id with
-             | Some image -> fn image
+             | Some image -> start image
              | None -> report_failure t pod_id "streamed image lost"))
   in
-  with_image (fun image ->
-      let image_v = Image.to_pod_image image in
+  with_image (fun image (image_v, sock_imgs, my_meta) ->
       let op_id, parent = ctx_args ctx in
       let top = span_begin_id t ~op:op_id ?parent ~pod:pod_id "pod_restart" in
       span_begin t ~op:op_id ?parent:(Trace.parent_arg top) ~pod:pod_id
@@ -946,11 +967,13 @@ and start_restart ?ctx t ~pod_id ~name ~vip ~rip ~uri ~entries ~vip_map ~extra_a
               ro_pod = pod;
               ro_mig = Hashtbl.find_opt t.stages pod_id;
               ro_image = image_v;
+              ro_image_bytes =
+                String.length image.Image.encoded - Zapc_codec.Wire.header_size;
               ro_entries = entries;
               ro_extra_altq = extra_altq;
               ro_skip_sendq = skip_sendq;
-              ro_sock_imgs = Pod_ckpt.sockets_of_image image_v;
-              ro_my_meta = Pod_ckpt.meta_of_image image_v;
+              ro_sock_imgs = sock_imgs;
+              ro_my_meta = my_meta;
               ro_sockets = Hashtbl.create 8;
               ro_op = op_id;
               ro_span = top;
@@ -1311,9 +1334,15 @@ and restore_standalone t op =
   | _ ->
   let pod = op.ro_pod in
   let socket_of_ref i = Hashtbl.find_opt op.ro_sockets i in
-  let procs = Pod_ckpt.restore_processes pod op.ro_image ~socket_of_ref in
-  let mem_bytes = Pod_ckpt.memory_bytes_of_image op.ro_image in
-  let image_bytes = Zapc_codec.Wire.encoded_size op.ro_image + mem_bytes in
+  match
+    let procs = Pod_ckpt.restore_processes pod op.ro_image ~socket_of_ref in
+    (procs, Pod_ckpt.memory_bytes_of_image op.ro_image)
+  with
+  | exception Value.Decode_error msg ->
+    abort_restart t pod.pod_id;
+    report_failure t pod.pod_id ("bad image: " ^ msg)
+  | procs, mem_bytes ->
+  let image_bytes = op.ro_image_bytes + mem_bytes in
   let cost =
     match op.ro_mig, skel with
     | Some sg, Some _ ->

@@ -20,6 +20,8 @@ module Addr = Zapc_simnet.Addr
 module Meta = Zapc_netckpt.Meta
 module Sock_state = Zapc_netckpt.Sock_state
 module Image = Zapc_ckpt.Image
+module Value = Zapc_codec.Value
+module Wire = Zapc_codec.Wire
 module Pod_ckpt = Zapc_ckpt.Pod_ckpt
 
 type ckpt_item = {
@@ -590,72 +592,68 @@ let checkpoint ?(incremental = false) ?parent t ~(items : ckpt_item list)
 
 (* --- restart --- *)
 
-(* Collect (meta, vip, name, image option) for one restart item. *)
+(* What a restart needs to know of one pod: its name, vip and meta-data
+   and, only when its send queues are to be redirected, its saved sockets.
+   A stored image is read for exactly those fields; the Agent decodes the
+   rest. *)
 let pod_facts t (item : restart_item) =
   match item.ri_uri with
   | Protocol.U_storage key ->
+    let fields =
+      if t.params.redirect_sendq then [ "name"; "vip"; "meta"; "sockets" ]
+      else [ "name"; "vip"; "meta" ]
+    in
     (match Storage.get t.storage key with
-     | None -> Error (Printf.sprintf "no image at %s" key)
+     | None -> Error (Protocol.F_missing_image (Printf.sprintf "no image at %s" key))
      | Some image ->
-       let v = Image.to_pod_image image in
-       Ok
-         ( Pod_ckpt.meta_of_image v,
-           Pod_ckpt.vip_of_image v,
-           Pod_ckpt.name_of_image v,
-           Some v ))
+       (try
+          let v = Wire.decode_fields image.Image.encoded fields in
+          let info =
+            { pi_name = Pod_ckpt.name_of_image v; pi_vip = Pod_ckpt.vip_of_image v;
+              pi_meta = Pod_ckpt.meta_of_image v }
+          in
+          let socks =
+            if t.params.redirect_sendq then Some (Pod_ckpt.sockets_of_image v) else None
+          in
+          Ok (info, socks)
+        with Value.Decode_error msg ->
+          Error (Protocol.F_bad_image (Printf.sprintf "bad image at %s: %s" key msg))))
   | Protocol.U_node _ ->
     (match Hashtbl.find_opt t.infos item.ri_pod with
-     | None -> Error (Printf.sprintf "no cached meta for streamed pod %d" item.ri_pod)
-     | Some info -> Ok (info.pi_meta, info.pi_vip, info.pi_name, None))
+     | None ->
+       Error
+         (Protocol.F_missing_image
+            (Printf.sprintf "no cached meta for streamed pod %d" item.ri_pod))
+     | Some info -> Ok (info, None))
 
 (* The send-queue redirection optimization (paper section 5): instead of
    resending each send queue over the re-established connection, merge it
-   into the *peer's* checkpoint stream so it travels once.  Requires access
-   to the images, so it applies to storage-based restarts. *)
-let redirected_altq ~metas ~images (pod_id : int) (entries : Meta.restart_entry list) =
-  let find_meta vip =
-    List.find_opt (fun (pm : Meta.pod_meta) -> Addr.equal_ip pm.pm_vip vip) metas
-  in
+   into the *peer's* checkpoint stream so it travels once.  Requires the
+   peers' saved sockets, so it applies to storage-based restarts.  Every
+   lookup goes through the schedule's index. *)
+let redirected_altq ix ~socks (pod_id : int) (entries : Meta.restart_entry list) =
   List.filter_map
     (fun (e : Meta.restart_entry) ->
       if e.ri_orphan then None
       else
-        match find_meta e.ri_remote.ip with
+        match Meta.paired_peer ix e with
         | None -> None
-        | Some peer_meta ->
-          (match
-             ( List.find_opt
-                 (fun (pe : Meta.entry) ->
-                   Addr.equal pe.local e.ri_remote && Addr.equal pe.remote e.ri_local)
-                 peer_meta.pm_entries,
-               List.assoc_opt peer_meta.pm_pod images )
-           with
-           | Some peer_entry, Some peer_image ->
-             let peer_socks = Pod_ckpt.sockets_of_image peer_image in
-             let im = peer_socks.(peer_entry.sock_ref) in
+        | Some (peer_pod, peer_entry) ->
+          (match Hashtbl.find_opt socks peer_pod with
+           | None -> None
+           | Some peer_socks ->
+             let im = peer_socks.(peer_entry.Meta.sock_ref) in
              let my_recv =
                (* my rcv_nxt = what I already have of the peer's stream *)
-               match
-                 List.find_opt
-                   (fun (pm : Meta.pod_meta) -> pm.pm_pod = pod_id)
-                   metas
-               with
-               | Some my_meta ->
-                 (match
-                    List.find_opt
-                      (fun (me : Meta.entry) -> me.sock_ref = e.ri_sock_ref)
-                      my_meta.pm_entries
-                  with
-                  | Some me -> me.recv
-                  | None -> peer_entry.acked)
+               match Meta.entry_of_sock ix ~pod:pod_id ~sock_ref:e.ri_sock_ref with
+               | Some me -> me.recv
                | None -> peer_entry.acked
              in
              let data =
                Sock_state.trim_overlap ~acked:peer_entry.acked ~peer_recv:my_recv
                  im.Sock_state.send_data
              in
-             if String.length data = 0 then None else Some (e.ri_sock_ref, data)
-           | _, _ -> None))
+             if String.length data = 0 then None else Some (e.ri_sock_ref, data)))
     entries
 
 let restart ?(kind = `Restart) ?parent t ~(items : restart_item list)
@@ -668,31 +666,38 @@ let restart ?(kind = `Restart) ?parent t ~(items : restart_item list)
   in
   Metrics.incr t.metrics (prefix ^ ".started");
   let facts = List.map (fun i -> (i, pod_facts t i)) items in
-  match List.find_opt (fun (_, f) -> Result.is_error f) facts with
-  | Some (_, Error msg) ->
+  match
+    List.find_map (fun (_, f) -> match f with Error e -> Some e | Ok _ -> None) facts
+  with
+  | Some failure ->
     Metrics.incr t.metrics (prefix ^ ".failed");
     on_done
-      { r_ok = false; r_failure = Some (Protocol.F_missing_image msg); r_detail = msg;
-        r_duration = Simtime.zero; r_stats = []; r_metas = [] }
-  | Some (_, Ok _) | None ->
+      { r_ok = false; r_failure = Some failure;
+        r_detail = Protocol.failure_to_string failure; r_duration = Simtime.zero;
+        r_stats = []; r_metas = [] }
+  | None ->
     let facts =
       List.map
         (fun (i, f) -> match f with Ok x -> (i, x) | Error _ -> assert false)
         facts
     in
-    let metas = List.map (fun (_, (m, _, _, _)) -> m) facts in
-    let images =
-      List.filter_map
-        (fun (i, (_, _, _, img)) -> Option.map (fun v -> (i.ri_pod, v)) img)
-        facts
-    in
+    let metas = List.map (fun (_, (info, _)) -> info.pi_meta) facts in
+    (* peer send queues by pod, first image of a pod id wins *)
+    let socks = Hashtbl.create 8 in
+    List.iter
+      (fun (i, (_, so)) ->
+        match so with
+        | Some a when not (Hashtbl.mem socks i.ri_pod) -> Hashtbl.add socks i.ri_pod a
+        | Some _ | None -> ())
+      facts;
     (* the new connectivity map: virtual addresses -> destination reals *)
     let vip_map =
-      List.map (fun (i, (_, vip, _, _)) -> (vip, t.alloc_rip i.ri_node)) facts
+      List.map (fun (i, (info, _)) -> (info.pi_vip, t.alloc_rip i.ri_node)) facts
     in
-    let schedule = Meta.build_schedule metas in
+    let ix = Meta.index metas in
+    let schedule = Meta.schedule ix in
     let redirect =
-      t.params.redirect_sendq && List.length images = List.length items
+      t.params.redirect_sendq && List.for_all (fun (_, (_, so)) -> so <> None) facts
     in
     t.gen <- t.gen + 1;
     let p =
@@ -714,23 +719,23 @@ let restart ?(kind = `Restart) ?parent t ~(items : restart_item list)
     let op_span = span_begin_id t ~op:t.gen ?parent opname in
     let ctx = ctx_for t op_span in
     arm_phase_timeout t p Protocol.Ph_done;
-    List.iter2
-      (fun item (i, (_, vip, name, _)) ->
-        assert (item == i);
+    List.iter
+      (fun (item, (info, _)) ->
         let entries =
           match List.assoc_opt item.ri_pod schedule with Some e -> e | None -> []
         in
         let extra_altq =
-          if redirect then redirected_altq ~metas ~images item.ri_pod entries else []
+          if redirect then redirected_altq ix ~socks item.ri_pod entries else []
         in
+        let vip = info.pi_vip in
         let rip =
           match List.assoc_opt vip vip_map with Some r -> r | None -> vip
         in
         send t item.ri_node
           (Protocol.A_restart
-             { pod_id = item.ri_pod; name; vip; rip; uri = item.ri_uri; entries; vip_map;
-               extra_altq; skip_sendq = redirect; ctx }))
-      items facts
+             { pod_id = item.ri_pod; name = info.pi_name; vip; rip; uri = item.ri_uri;
+               entries; vip_map; extra_altq; skip_sendq = redirect; ctx }))
+      facts
 
 (* --- live migration --- *)
 

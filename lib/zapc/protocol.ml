@@ -36,6 +36,7 @@ type failure =
   | F_timeout of { phase : phase; waiting : int list }
       (* a per-phase timeout expired with these pods still unreported *)
   | F_missing_image of string  (* restart precondition failed *)
+  | F_bad_image of string  (* an image passed its checksum but does not decode *)
 
 let failure_to_string = function
   | F_agent { node; pod_id; detail } ->
@@ -44,7 +45,7 @@ let failure_to_string = function
   | F_timeout { phase; waiting } ->
     Printf.sprintf "%s phase timed out waiting for pods [%s]" (phase_to_string phase)
       (String.concat "," (List.map string_of_int waiting))
-  | F_missing_image msg -> msg
+  | F_missing_image msg | F_bad_image msg -> msg
 
 (* --- per-operation statistics reported by Agents --- *)
 

@@ -34,6 +34,8 @@ type failure =
   | F_timeout of { phase : phase; waiting : int list }
       (** a per-phase timeout expired with these pods still unreported *)
   | F_missing_image of string  (** restart precondition failed *)
+  | F_bad_image of string
+      (** a stored image passed its checksum but does not decode *)
 
 val failure_to_string : failure -> string
 

@@ -121,10 +121,10 @@ let backoff_delay t =
     (int_of_float (float_of_int d *. (1.0 +. Rng.float t.rng 0.5)))
 
 let unrecoverable (r : Manager.op_result) =
-  (* no good snapshot (or every replica of one is gone): retrying cannot
-     help *)
+  (* no good snapshot (or every replica of one is gone, or it does not
+     decode): retrying cannot help *)
   match r.Manager.r_failure with
-  | Some (Protocol.F_missing_image _) -> true
+  | Some (Protocol.F_missing_image _ | Protocol.F_bad_image _) -> true
   | Some _ | None -> false
 
 (* The heartbeat rides a cancellable timer so [stop] retires the pending

@@ -270,6 +270,80 @@ let test_meta_value_roundtrip () =
   let m' = Meta.of_value v in
   check tbool "roundtrip" true (Value.equal v (Meta.to_value m'))
 
+(* The quadratic pairing the indexed schedule replaced, kept verbatim as
+   the reference: each entry's peer is the first entry, in pod order then
+   entry order, whose (local, remote) is its (remote, local). *)
+let reference_schedule (pms : Meta.pod_meta list) =
+  let all =
+    List.concat_map
+      (fun (pm : Meta.pod_meta) -> List.map (fun e -> (pm, e)) pm.pm_entries)
+      pms
+  in
+  let find_peer (e : Meta.entry) =
+    List.find_opt
+      (fun (_, (e' : Meta.entry)) ->
+        Addr.equal e'.local e.remote && Addr.equal e'.remote e.local)
+      all
+  in
+  let for_pod (pm : Meta.pod_meta) =
+    let entries =
+      List.filter_map
+        (fun (e : Meta.entry) ->
+          match e.state with
+          | Meta.Connecting -> None
+          | Meta.Full | Meta.Half_out | Meta.Half_in | Meta.Closed_data ->
+            (match find_peer e with
+             | Some (_, peer) when peer.state <> Meta.Connecting ->
+               let role =
+                 match (e.role, peer.role) with
+                 | Meta.Accept, _ -> Meta.Accept
+                 | Meta.Connect, Meta.Accept -> Meta.Connect
+                 | Meta.Connect, Meta.Connect ->
+                   if Addr.compare e.local e.remote < 0 then Meta.Accept else Meta.Connect
+               in
+               Some
+                 { Meta.ri_local = e.local; ri_remote = e.remote; ri_role = role;
+                   ri_state = e.state; ri_sock_ref = e.sock_ref;
+                   ri_peer_recv = peer.recv; ri_orphan = false }
+             | Some _ | None ->
+               Some
+                 { Meta.ri_local = e.local; ri_remote = e.remote; ri_role = e.role;
+                   ri_state = e.state; ri_sock_ref = e.sock_ref; ri_peer_recv = e.acked;
+                   ri_orphan = true }))
+        pm.pm_entries
+    in
+    (pm.pm_pod, entries)
+  in
+  List.map for_pod pms
+
+(* Tables over three vips and three ports, so that pairs, duplicate
+   (local, remote) keys, Connecting peers, Connect/Connect ties and orphans
+   all come up often. *)
+let metas_gen =
+  let open QCheck.Gen in
+  let addr =
+    map2 (fun ip port -> { Addr.ip = 100 + ip; port }) (int_bound 2) (int_bound 2)
+  in
+  let entry =
+    map3
+      (fun (local, remote) (state, role) (recv, acked, sock_ref) ->
+        { Meta.local; remote; state; role; sent = recv + 7; recv; acked; sock_ref })
+      (pair addr addr)
+      (pair
+         (oneofl Meta.[ Full; Half_out; Half_in; Closed_data; Connecting ])
+         (oneofl Meta.[ Accept; Connect ]))
+      (triple (int_bound 1000) (int_bound 1000) (int_bound 8))
+  in
+  list_size (int_bound 4)
+    (map3
+       (fun pod vip entries ->
+         { Meta.pm_pod = pod; pm_vip = 100 + vip; pm_entries = entries })
+       (int_bound 5) (int_bound 2) (list_size (int_bound 8) entry))
+
+let prop_schedule_matches_reference =
+  QCheck.Test.make ~name:"indexed schedule equals the quadratic reference" ~count:500
+    (QCheck.make metas_gen) (fun pms -> Meta.build_schedule pms = reference_schedule pms)
+
 (* --- pod-level image --- *)
 
 module Memhog = struct
@@ -1021,7 +1095,8 @@ let () =
         [ Alcotest.test_case "pairing" `Quick test_schedule_pairing;
           Alcotest.test_case "orphan + connecting" `Quick test_schedule_orphan_and_connecting;
           Alcotest.test_case "shared source port" `Quick test_schedule_shared_source_port;
-          Alcotest.test_case "value roundtrip" `Quick test_meta_value_roundtrip ] );
+          Alcotest.test_case "value roundtrip" `Quick test_meta_value_roundtrip;
+          QCheck_alcotest.to_alcotest prop_schedule_matches_reference ] );
       ( "pod image",
         [ Alcotest.test_case "checkpoint/restore" `Quick test_pod_checkpoint_image;
           Alcotest.test_case "relative deadlines" `Quick test_block_deadline_relative;

@@ -101,7 +101,7 @@ module Image = Zapc_ckpt.Image
 module Addr = Zapc_simnet.Addr
 module Kv_wire = Zapc_apps.Kv_wire
 
-let value_gen =
+let value_gen_with int_gen =
   let open QCheck.Gen in
   sized (fun size ->
       fix
@@ -110,7 +110,7 @@ let value_gen =
             oneof
               [ return Value.Unit;
                 map (fun b -> Value.Bool b) bool;
-                map (fun i -> Value.Int i) int;
+                map (fun i -> Value.Int i) int_gen;
                 map (fun f -> Value.Float f) float;
                 map (fun s -> Value.Str s) string_small;
                 map (fun l -> Value.F64s (Array.of_list l)) (small_list float) ]
@@ -127,15 +127,98 @@ let value_gen =
                 map2 (fun s v -> Value.Tag (s, v)) string_small (self (n / 2)) ])
         (min size 6))
 
+let value_gen = value_gen_with QCheck.Gen.int
 let arbitrary_value = QCheck.make value_gen
+
+(* the integers on either side of each encoding boundary: the inline
+   small-int range ends at 0x7e, varints grow a byte at every 7 bits, and
+   zigzag maps the extremes to the longest patterns *)
+let edge_ints = [ min_int; max_int; -1; 0x7e; 0x7f; 0x80 ]
+
+let arbitrary_value_edges =
+  QCheck.make
+    (value_gen_with QCheck.Gen.(frequency [ (1, int); (1, oneofl edge_ints) ]))
 
 let prop_roundtrip =
   QCheck.Test.make ~name:"wire roundtrip is identity" ~count:500 arbitrary_value (fun v ->
       Value.equal v (roundtrip v))
 
 let prop_size =
-  QCheck.Test.make ~name:"encoded_size matches encode" ~count:200 arbitrary_value
-    (fun v -> Wire.encoded_size v = String.length (Wire.encode v) - 5)
+  QCheck.Test.make ~name:"encoded_size matches encode" ~count:300 arbitrary_value_edges
+    (fun v ->
+      Wire.encoded_size v = String.length (Wire.encode v) - Wire.header_size
+      && Wire.header_size = 5)
+
+let test_size_edge_ints () =
+  List.iter
+    (fun n ->
+      let v = Value.Int n in
+      check tint (string_of_int n) (String.length (Wire.encode v) - Wire.header_size)
+        (Wire.encoded_size v))
+    edge_ints
+
+(* --- decode_fields: a record read for a few of its fields --- *)
+
+let field_keys = [ "name"; "vip"; "meta"; "sockets"; "procs"; "" ]
+
+(* top-level records over a small key set (so keys repeat and selections
+   hit), mixed with non-record values *)
+let fields_case =
+  let open QCheck.Gen in
+  let record =
+    map
+      (fun kvs -> Value.Assoc kvs)
+      (list_size (int_bound 6) (pair (oneofl field_keys) value_gen))
+  in
+  pair
+    (frequency [ (4, record); (1, value_gen) ])
+    (list_size (int_bound 4) (oneofl field_keys))
+
+let restrict v keys =
+  match v with
+  | Value.Assoc kvs -> Value.Assoc (List.filter (fun (k, _) -> List.mem k keys) kvs)
+  | _ -> Value.Assoc []
+
+let prop_decode_fields_restricts =
+  QCheck.Test.make ~name:"decode_fields is decode restricted to the keys" ~count:500
+    (QCheck.make fields_case)
+    (fun (v, keys) ->
+      let s = Wire.encode v in
+      Value.equal (Wire.decode_fields s keys) (restrict (Wire.decode s) keys))
+
+(* Under truncation and byte overwrites of valid encodings, decode_fields
+   rejects exactly what decode rejects, and only with Decode_error. *)
+let prop_decode_fields_rejects_like_decode =
+  QCheck.Test.make ~name:"decode_fields rejects exactly what decode rejects" ~count:1000
+    (QCheck.make
+       QCheck.Gen.(
+         pair fields_case
+           (triple (frequency [ (1, return `Cut); (3, return `Set); (1, return `Append) ])
+              (float_bound_exclusive 1.0)
+              (* half the overwrites write a byte that is no wire tag *)
+              (frequency [ (1, int_bound 255); (1, int_range 0x0a 0x7f) ]))))
+    (fun ((v, keys), (mode, at, byte)) ->
+      let s = Wire.encode v in
+      let pos = int_of_float (at *. float_of_int (String.length s)) in
+      let s =
+        match mode with
+        | `Cut -> String.sub s 0 pos
+        | `Set ->
+          let b = Bytes.of_string s in
+          Bytes.set b pos (Char.chr byte);
+          Bytes.to_string b
+        | `Append -> s ^ String.make 1 (Char.chr byte)
+      in
+      let rejects f =
+        match f s with
+        | _ -> false
+        | exception Value.Decode_error _ -> true
+      in
+      let by_decode = rejects Wire.decode in
+      let by_fields = rejects (fun s -> Wire.decode_fields s keys) in
+      by_decode = by_fields
+      && (by_decode
+          || Value.equal (Wire.decode_fields s keys) (restrict (Wire.decode s) keys)))
 
 let prop_estimate_upper =
   QCheck.Test.make ~name:"size_estimate bounds encoded size" ~count:200 arbitrary_value
@@ -480,11 +563,13 @@ let () =
       ( "value",
         [ Alcotest.test_case "field access" `Quick test_field_access;
           Alcotest.test_case "option/pair" `Quick test_option_pair;
-          Alcotest.test_case "encoded size" `Quick test_encoded_size ] );
+          Alcotest.test_case "encoded size" `Quick test_encoded_size;
+          Alcotest.test_case "encoded size at edge ints" `Quick test_size_edge_ints ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_roundtrip; prop_size; prop_estimate_upper; prop_decode_never_crashes;
-            prop_bitflip_safe ] );
+            prop_bitflip_safe; prop_decode_fields_restricts;
+            prop_decode_fields_rejects_like_decode ] );
       ( "protocol",
         List.map QCheck_alcotest.to_alcotest
           [ prop_protocol_agent_roundtrip; prop_protocol_agent_no_ctx_decodes;
